@@ -30,6 +30,10 @@ type benchReport struct {
 	Dim        int    `json:"dim"`
 	Sweeps     int    `json:"sweeps"`
 	Ordering   string `json:"ordering"`
+	// FusedArm is the fused kernels' dispatch arm on the bench host
+	// (avx512, avx2 or generic); the regression guard compares a report
+	// only against earlier reports of the same arm.
+	FusedArm string `json:"fused_arm"`
 
 	EmulatedWallMs  float64 `json:"emulated_wall_ms"`
 	MulticoreWallMs float64 `json:"multicore_wall_ms"`
@@ -124,10 +128,11 @@ func cmdBench(args []string) error {
 		Dim:        *d,
 		Sweeps:     *sweeps,
 		Ordering:   fam.Name(),
+		FusedArm:   kernel.FusedArm(),
 	}
 
-	fmt.Printf("bench: m=%d, d=%d (%d nodes), %d fixed sweep(s), %s ordering\n",
-		*m, *d, 1<<uint(*d), *sweeps, fam.Name())
+	fmt.Printf("bench: m=%d, d=%d (%d nodes), %d fixed sweep(s), %s ordering, %s fused kernels\n",
+		*m, *d, 1<<uint(*d), *sweeps, fam.Name(), rep.FusedArm)
 
 	// pairsPerRun is the rotation-pair count the wall-clock figures cover:
 	// every column pair once per sweep.

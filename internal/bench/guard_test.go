@@ -12,8 +12,9 @@ import (
 // fresh reports named in BENCH_GUARD_NEW (colon-separated paths, appended
 // in order), then:
 //
-//   - compares the two newest reports with the portable guards (allocs,
-//     speedup ratio);
+//   - compares the newest report with the portable guards (allocs, speedup
+//     ratio) against the most recent earlier report of the same fused-kernel
+//     arm (Previous), or on its own when that arm has no earlier report;
 //   - when BENCH_GUARD_NEW supplies two or more fresh reports — CI runs the
 //     bench twice on the same host — additionally applies the wall-clock
 //     guards to that same-host pair.
@@ -42,8 +43,13 @@ func TestBenchRegressionGuard(t *testing.T) {
 	if len(reports) < 2 {
 		t.Skipf("only %d bench report(s) available, nothing to compare", len(reports))
 	}
-	prev, cur := reports[len(reports)-2], reports[len(reports)-1]
-	t.Logf("comparing %s -> %s", prev.Path, cur.Path)
+	cur := reports[len(reports)-1]
+	prev := Previous(reports, len(reports)-1)
+	if prev == nil {
+		t.Logf("no earlier %s report: checking %s on its own", cur.Arm(), cur.Path)
+	} else {
+		t.Logf("comparing %s -> %s (%s arm)", prev.Path, cur.Path, cur.Arm())
+	}
 	for _, msg := range Compare(prev, cur, false) {
 		t.Error(msg)
 	}
@@ -143,5 +149,32 @@ func TestCompareGuards(t *testing.T) {
 	// construction (both rates come from one run).
 	if bad := Compare(base, withLane(200, 150, 0), false); len(bad) != 1 {
 		t.Errorf("thin lane advantage not flagged: %v", bad)
+	}
+}
+
+// TestPreviousMatchesArm pins the baseline choice: the most recent earlier
+// report of the same fused-kernel arm, with a missing arm read as avx2.
+func TestPreviousMatchesArm(t *testing.T) {
+	old := &Report{Path: "old"} // predates fused_arm: avx2
+	a512 := &Report{Path: "a512", FusedArm: "avx512"}
+	a2 := &Report{Path: "a2", FusedArm: "avx2"}
+	gen := &Report{Path: "gen", FusedArm: "generic"}
+	traj := []*Report{old, a512, a2, gen}
+	for i, want := range []*Report{nil, nil, old, nil} {
+		if got := Previous(traj, i); got != want {
+			t.Errorf("Previous(%s) = %v, want %v", traj[i].Path, got, want)
+		}
+	}
+	// A fresh avx2 report skips the newer avx512 one.
+	fresh := append(traj[:2:2], &Report{Path: "fresh", FusedArm: "avx2"})
+	if got := Previous(fresh, 2); got != old {
+		t.Errorf("fresh avx2 report compared against %v, want old", got)
+	}
+	// Without a same-arm baseline only the single-report guards apply.
+	if bad := Compare(nil, &Report{Speedup: 0.1}, true); len(bad) != 0 {
+		t.Errorf("nil baseline applied cross-report guards: %v", bad)
+	}
+	if bad := Compare(nil, &Report{SweepAllocsPerOp: 1}, false); len(bad) != 1 {
+		t.Errorf("nil baseline skipped the alloc guard: %v", bad)
 	}
 }

@@ -82,9 +82,62 @@ func BenchmarkCrossFused512(b *testing.B) {
 	}
 }
 
+// benchArms runs f as one sub-benchmark per fused dispatch arm (generic,
+// avx2, avx512), so the arms' kernel rates read side by side; arms the
+// host lacks are skipped.
+func benchArms(b *testing.B, f func(b *testing.B)) {
+	arms := []struct {
+		name             string
+		avx, avx512, has bool
+	}{
+		{"generic", false, false, true},
+		{"avx2", true, false, useAVX},
+		{"avx512", true, true, useAVX512},
+	}
+	savedAVX, saved512 := useAVX, useAVX512
+	defer func() { useAVX, useAVX512 = savedAVX, saved512 }()
+	for _, a := range arms {
+		b.Run(a.name, func(b *testing.B) {
+			if !a.has {
+				b.Skip("host lacks this dispatch arm")
+			}
+			useAVX, useAVX512 = a.avx, a.avx512
+			f(b)
+		})
+	}
+}
+
+// The solve-large block pairing: n=384 on a 3-cube is 16 blocks of 24
+// columns, each column 384 rows high, every pair rotating. Reported per
+// dispatch arm.
+func BenchmarkCrossFused384(b *testing.B) {
+	const w, m = 24, 384
+	benchArms(b, func(b *testing.B) {
+		xa0, xu0 := benchCols(w, m, m, 1)
+		ya0, yu0 := benchCols(w, m, m, 2)
+		xa, xu := benchCols(w, m, m, 1)
+		ya, yu := benchCols(w, m, m, 2)
+		var sc Scratch
+		sc.Cross(xa, xu, ya, yu, &Conv{}) // grow the scratch outside the timer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			restore(xa, xa0)
+			restore(ya, ya0)
+			restore(xu, xu0)
+			restore(yu, yu0)
+			b.StartTimer()
+			var conv Conv
+			sc.Cross(xa, xu, ya, yu, &conv)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w*w), "ns/pair")
+	})
+}
+
 // The skip-path pair: the same pairing on already-orthogonalized columns,
 // measuring the near-convergence sweeps where most pairs only compute
-// their Gram entries.
+// their Gram entries. Reported per dispatch arm.
 func BenchmarkCrossFusedSkipPath512(b *testing.B) {
 	xa, xu := benchCols(32, 512, 512, 1)
 	ya, yu := benchCols(32, 512, 512, 2)
@@ -95,12 +148,14 @@ func BenchmarkCrossFusedSkipPath512(b *testing.B) {
 		sc.Within(xa, xu, &warm)
 		sc.Within(ya, yu, &warm)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var conv Conv
-		sc.Cross(xa, xu, ya, yu, &conv)
-	}
+	benchArms(b, func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var conv Conv
+			sc.Cross(xa, xu, ya, yu, &conv)
+		}
+	})
 }
 
 func BenchmarkWithinRef512(b *testing.B) {

@@ -4,18 +4,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // The reference-kernel differential suite: every fused kernel against the
 // retained naive implementation, across column heights n = 4..512 (odd and
 // even, including non-multiples of the vector width), under the package's
-// documented ulp budgets. On amd64 every case runs both dispatch arms
-// (vector and generic) by toggling useAVX.
+// documented ulp budgets. On amd64 every case runs every dispatch arm the
+// host offers (generic, AVX2, AVX-512) by toggling useAVX and useAVX512.
 
 // diffHeights is the shape sweep: powers of two to 512 plus odd and
-// off-by-one heights that exercise the scalar tails.
-var diffHeights = []int{4, 5, 7, 8, 13, 16, 31, 32, 33, 64, 100, 127, 128, 255, 256, 511, 512}
+// off-by-one heights that exercise the scalar tails, and multiples of 8
+// (24, 40, 48, 96, 384) whose vector prefix ends on a lone 8-row group —
+// the AVX-512 arm's 8-row tail after its 16-row loop, the AVX2 arm's
+// 8-row loop without its 4-row tail.
+var diffHeights = []int{4, 5, 7, 8, 13, 16, 24, 31, 32, 33, 40, 48, 64, 96, 100, 127, 128, 255, 256, 384, 511, 512}
 
 // epsBudget returns the documented absolute budget for a reassociated sum
 // of n terms with total absolute mass `mass`: 4·n·eps·mass.
@@ -32,8 +36,8 @@ func randCol(n int, rng *rand.Rand) []float64 {
 	return c
 }
 
-// forEachArm runs f under every available dispatch arm: generic, AVX2, and
-// (for the lane kernels, which are the only AVX-512 dispatchers) AVX-512.
+// forEachArm runs f under every dispatch arm the host offers: generic, AVX2
+// and AVX-512. Both the fused and the lane kernels dispatch on all three.
 func forEachArm(t *testing.T, f func(t *testing.T)) {
 	type arm struct {
 		name        string
@@ -52,6 +56,17 @@ func forEachArm(t *testing.T, f func(t *testing.T)) {
 		useAVX, useAVX512 = a.avx, a.avx512
 		t.Run(a.name, f)
 	}
+}
+
+// TestFusedArmNamesDispatch: FusedArm reports the arm the gates select.
+func TestFusedArmNamesDispatch(t *testing.T) {
+	want := map[string]string{"generic": "generic", "avx": "avx2", "avx512": "avx512"}
+	forEachArm(t, func(t *testing.T) {
+		arm := t.Name()[strings.LastIndex(t.Name(), "/")+1:]
+		if got := FusedArm(); got != want[arm] {
+			t.Errorf("FusedArm() = %q under the %s arm, want %q", got, arm, want[arm])
+		}
+	})
 }
 
 // TestGramMatchesReference: the fused Gram entries (single fused pass, and

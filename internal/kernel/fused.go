@@ -31,6 +31,19 @@ package kernel
 // storage beyond the columns themselves, sized once per worker and reused
 // across every pairing and sweep (bench_test.go pins 0 allocs/op).
 
+// FusedArm names the dispatch arm the fused primitives run on this host:
+// "avx512", "avx2" or "generic". Fused results, and their speed, are
+// comparable only between runs on the same arm.
+func FusedArm() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX:
+		return "avx2"
+	}
+	return "generic"
+}
+
 // sqNormGeneric is the portable SqNorm: four independent accumulator
 // chains.
 //

@@ -1,19 +1,22 @@
 package kernel
 
-// SIMD dispatch for the fused path on amd64: when the host has AVX2 and FMA
-// (and the OS saves YMM state), the fused kernels run the hand-written
-// vector routines in simd_amd64.s over the 4-aligned prefix and finish the
-// tail in Go; otherwise they fall back to the portable generic loops. The
-// reference path (ref.go, Rotation.Apply) never dispatches — it stays the
-// portable, bit-for-bit reproducible yardstick on every host.
+// SIMD dispatch for the fused path on amd64, three arms chosen by the cpuid
+// probes below: with AVX-512 the fused kernels run the ZMM routines in
+// simd_avx512_amd64.s over the 8-aligned prefix; with AVX2 and FMA (and
+// YMM state saved by the OS) the YMM routines in simd_amd64.s over the
+// 4-aligned prefix; the Go wrappers finish the tail in scalar code. Other
+// hosts run the portable generic loops. The reference path (ref.go,
+// Rotation.Apply) never dispatches — it stays the portable, bit-for-bit
+// reproducible yardstick on every host.
 //
-// The vector accumulators are one more reassociation of the same products
-// (four lanes + one horizontal reduction, FMA in the accumulation), still
-// covered by the package's documented ulp bound; the differential suite
-// exercises both dispatch arms. Fused results are deterministic for a given
-// host but may differ across hosts with different SIMD features — one more
-// reason the clocked backends, whose results the paper's experiments
-// compare, stay on the reference path.
+// Both vector arms keep two independent accumulator chains per Gram
+// quantity (FMA in the accumulation, lanes + one horizontal reduction at
+// the end): one more reassociation of the same products, still covered by
+// the package's documented ulp bound; the differential suite exercises
+// every arm. Fused results are deterministic for a given host but may
+// differ across hosts with different SIMD features — one more reason the
+// clocked backends, whose results the paper's experiments compare, stay on
+// the reference path.
 
 // Implemented in simd_amd64.s.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -24,17 +27,26 @@ func applyPairAVX(c, s float64, x, y []float64)
 func rotateGramAVX(c, s float64, x, y []float64) (a, b float64)
 func rotateGramNextAVX(c, s float64, x, y, yn []float64) (a, b, gam float64)
 
+// Implemented in simd_avx512_amd64.s.
+func sqNormAVX512(x []float64) float64
+func gammaDotAVX512(x, y []float64) float64
+func applyPairAVX512(c, s float64, x, y []float64)
+func rotateGramAVX512(c, s float64, x, y []float64) (a, b float64)
+func rotateGramNextAVX512(c, s float64, x, y, yn []float64) (a, b, gam float64)
+
 // useAVX gates the vector arm. It is a variable (not a constant) so the
 // differential tests can force the generic arm on any host.
 var useAVX = detectAVX()
 
-// useAVX512 additionally gates the 8-lane AVX-512 arm of the lane kernels
-// (lane_amd64.go): one ZMM register holds the same element of eight jobs,
+// useAVX512 additionally gates the AVX-512 arms. In the lane kernels
+// (lane_amd64.go) one ZMM register holds the same element of eight jobs,
 // and the opmask registers express the lane blend masks natively — masked
 // stores leave a masked lane's memory bytes untouched without a blend in
-// the data path. The fused (single-job) kernels stay on the AVX2 arm: their
-// vectors run along the column, where 256-bit operations already saturate
-// the store ports that bound them.
+// the data path. In the fused (single-job) kernels the vectors run along
+// the column, eight rows per ZMM. What bounds those loops is the FMA
+// latency on the Gram accumulators, not the store ports: with one chain
+// per quantity the skip path's dots ran at one row per cycle. Two chains
+// of eight lanes each keep sixteen rows in flight per FMA latency.
 var useAVX512 = useAVX && detectAVX512()
 
 // detectAVX reports AVX2+FMA with OS-enabled YMM state: CPUID.1:ECX must
@@ -73,18 +85,26 @@ func detectAVX512() bool {
 }
 
 // simdMin is the column height below which vector dispatch is not worth the
-// call and reduction overhead.
+// call and reduction overhead. Above it the vector routines take the prefix
+// of the column that is a multiple of their register width (8 rows on
+// AVX-512, 4 on AVX2), and the wrappers finish the rest in scalar code.
 const simdMin = 16
 
 // SqNorm returns Σ x[k]² (fused-path accumulation).
 //
 //jacobi:noalloc
 func SqNorm(x []float64) float64 {
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return sqNormGeneric(x)
 	}
-	s := sqNormAVX(x[:n])
+	n := len(x) &^ 3
+	var s float64
+	if useAVX512 {
+		n = len(x) &^ 7
+		s = sqNormAVX512(x[:n])
+	} else {
+		s = sqNormAVX(x[:n])
+	}
 	for _, v := range x[n:] {
 		s += v * v
 	}
@@ -97,11 +117,17 @@ func SqNorm(x []float64) float64 {
 //jacobi:noalloc
 func GammaDot(x, y []float64) float64 {
 	y = y[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return gammaDotGeneric(x, y)
 	}
-	s := gammaDotAVX(x[:n], y[:n])
+	n := len(x) &^ 3
+	var s float64
+	if useAVX512 {
+		n = len(x) &^ 7
+		s = gammaDotAVX512(x[:n], y[:n])
+	} else {
+		s = gammaDotAVX(x[:n], y[:n])
+	}
 	for k := n; k < len(x); k++ {
 		s += x[k] * y[k]
 	}
@@ -109,19 +135,24 @@ func GammaDot(x, y []float64) float64 {
 }
 
 // applyPair rotates the pair (x, y) in place. Per element it performs
-// exactly the reference arithmetic in both dispatch arms (the vector arm
-// deliberately avoids FMA here), so it is bit-identical to Rotation.Apply.
+// exactly the reference arithmetic in every dispatch arm (the vector arms
+// deliberately avoid FMA here), so it is bit-identical to Rotation.Apply.
 // The columns must have equal length.
 //
 //jacobi:noalloc
 func applyPair(c, s float64, x, y []float64) {
 	y = y[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		applyPairGeneric(c, s, x, y)
 		return
 	}
-	applyPairAVX(c, s, x[:n], y[:n])
+	n := len(x) &^ 3
+	if useAVX512 {
+		n = len(x) &^ 7
+		applyPairAVX512(c, s, x[:n], y[:n])
+	} else {
+		applyPairAVX(c, s, x[:n], y[:n])
+	}
 	for k := n; k < len(x); k++ {
 		x0, y0 := x[k], y[k]
 		x[k] = c*x0 - s*y0
@@ -135,11 +166,16 @@ func applyPair(c, s float64, x, y []float64) {
 //jacobi:noalloc
 func rotateGram(c, s float64, x, y []float64) (a, b float64) {
 	y = y[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return rotateGramGeneric(c, s, x, y)
 	}
-	a, b = rotateGramAVX(c, s, x[:n], y[:n])
+	n := len(x) &^ 3
+	if useAVX512 {
+		n = len(x) &^ 7
+		a, b = rotateGramAVX512(c, s, x[:n], y[:n])
+	} else {
+		a, b = rotateGramAVX(c, s, x[:n], y[:n])
+	}
 	for k := n; k < len(x); k++ {
 		xi, yi := x[k], y[k]
 		xr := c*xi - s*yi
@@ -158,11 +194,16 @@ func rotateGram(c, s float64, x, y []float64) (a, b float64) {
 func rotateGramNext(c, s float64, x, y, ynext []float64) (a, b, g float64) {
 	y = y[:len(x)]
 	yn := ynext[:len(x)]
-	n := len(x) &^ 3
-	if !useAVX || n < simdMin {
+	if !useAVX || len(x) < simdMin {
 		return rotateGramNextGeneric(c, s, x, y, yn)
 	}
-	a, b, g = rotateGramNextAVX(c, s, x[:n], y[:n], yn[:n])
+	n := len(x) &^ 3
+	if useAVX512 {
+		n = len(x) &^ 7
+		a, b, g = rotateGramNextAVX512(c, s, x[:n], y[:n], yn[:n])
+	} else {
+		a, b, g = rotateGramNextAVX(c, s, x[:n], y[:n], yn[:n])
+	}
 	for k := n; k < len(x); k++ {
 		xi, yi := x[k], y[k]
 		xr := c*xi - s*yi

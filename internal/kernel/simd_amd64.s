@@ -2,15 +2,39 @@
 //
 // Every routine requires: len(x) > 0 and len(x) % 4 == 0 (the Go wrappers
 // in simd_amd64.go split off the scalar tail), equal slice lengths, and a
-// host with AVX2+FMA (wrappers dispatch on the cpuid probe). Accumulating
-// routines keep four independent lanes per quantity and combine them with
-// one horizontal reduction at the end — a reassociation of the reference
-// sums, covered by the kernel package's documented ulp bound. Rotation
-// application deliberately avoids FMA (VMULPD/VADDPD/VSUBPD only): per
-// element it performs exactly the reference arithmetic, so applied columns
-// stay bit-identical to Rotation.Apply given identical inputs.
+// host with AVX2+FMA (wrappers dispatch on the cpuid probe). The AVX-512
+// arm of the same primitives lives in simd_avx512_amd64.s.
+//
+// Accumulating routines keep TWO independent YMM chains per quantity: the
+// main loop takes 8 rows per iteration, rows 0-3 into chain 0 and rows 4-7
+// into chain 1, and a 4-row tail folds into chain 0. A single chain would
+// make every 4 rows wait on one FMA latency (4 cycles) — the skip path's
+// norm and gamma dots measured exactly that, one cycle per row. The chains
+// are added lane-wise and collapsed with one horizontal reduction at the
+// end: a reassociation of the reference sums, covered by the kernel
+// package's documented ulp bound. Rotation application deliberately avoids
+// FMA (VMULPD/VADDPD/VSUBPD only): per element it performs exactly the
+// reference arithmetic, so applied columns stay bit-identical to
+// Rotation.Apply given identical inputs.
 
 #include "textflag.h"
+
+// ROTY rotates one 4-row group with c in Y0 and s in Y1, mul/add only:
+// xr = c*x - s*y, yr = s*x + c*y. t is a scratch register.
+#define ROTY(x, y, xr, yr, t) \
+	VMULPD Y0, x, xr; \
+	VMULPD Y1, y, t;  \
+	VSUBPD t, xr, xr; \
+	VMULPD Y1, x, yr; \
+	VMULPD Y0, y, t;  \
+	VADDPD t, yr, yr
+
+// HSUMY collapses the four lanes of y (whose low half is x) into x lane 0.
+// xt is a scratch register.
+#define HSUMY(y, x, xt) \
+	VEXTRACTF128 $1, y, xt; \
+	VADDPD       xt, x, x;  \
+	VHADDPD      x, x, x
 
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -31,27 +55,37 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// hsum4 collapses the four lanes of Y_acc into X_acc lane 0.
-// (macro-by-convention: repeated inline below)
-
 // func sqNormAVX(x []float64) float64
 TEXT ·sqNormAVX(SB), NOSPLIT, $0-32
 	MOVQ   x_base+0(FP), SI
 	MOVQ   x_len+8(FP), CX
-	VXORPD Y4, Y4, Y4
 	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-8, DX                   // 8-row prefix
+	VXORPD Y4, Y4, Y4                // chain 0
+	VXORPD Y5, Y5, Y5                // chain 1
+	JZ     sqtail
 
 sqloop:
 	VMOVUPD     (SI)(AX*8), Y2
+	VMOVUPD     32(SI)(AX*8), Y3
 	VFMADD231PD Y2, Y2, Y4
-	ADDQ        $4, AX
-	CMPQ        AX, CX
+	VFMADD231PD Y3, Y3, Y5
+	ADDQ        $8, AX
+	CMPQ        AX, DX
 	JL          sqloop
-	VEXTRACTF128 $1, Y4, X5
-	VADDPD       X5, X4, X4
-	VHADDPD      X4, X4, X4
+
+sqtail:
+	CMPQ        AX, CX
+	JGE         sqdone
+	VMOVUPD     (SI)(AX*8), Y2
+	VFMADD231PD Y2, Y2, Y4
+
+sqdone:
+	VADDPD Y5, Y4, Y4
+	HSUMY(Y4, X4, X5)
 	VZEROUPPER
-	MOVSD        X4, ret+24(FP)
+	MOVSD  X4, ret+24(FP)
 	RET
 
 // func gammaDotAVX(x, y []float64) float64
@@ -59,21 +93,36 @@ TEXT ·gammaDotAVX(SB), NOSPLIT, $0-56
 	MOVQ   x_base+0(FP), SI
 	MOVQ   y_base+24(FP), DI
 	MOVQ   x_len+8(FP), CX
-	VXORPD Y4, Y4, Y4
 	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-8, DX
+	VXORPD Y4, Y4, Y4                // chain 0
+	VXORPD Y5, Y5, Y5                // chain 1
+	JZ     gdtail
 
 gdloop:
 	VMOVUPD     (SI)(AX*8), Y2
 	VMOVUPD     (DI)(AX*8), Y3
 	VFMADD231PD Y2, Y3, Y4
-	ADDQ        $4, AX
-	CMPQ        AX, CX
+	VMOVUPD     32(SI)(AX*8), Y6
+	VMOVUPD     32(DI)(AX*8), Y7
+	VFMADD231PD Y6, Y7, Y5
+	ADDQ        $8, AX
+	CMPQ        AX, DX
 	JL          gdloop
-	VEXTRACTF128 $1, Y4, X5
-	VADDPD       X5, X4, X4
-	VHADDPD      X4, X4, X4
+
+gdtail:
+	CMPQ        AX, CX
+	JGE         gddone
+	VMOVUPD     (SI)(AX*8), Y2
+	VMOVUPD     (DI)(AX*8), Y3
+	VFMADD231PD Y2, Y3, Y4
+
+gddone:
+	VADDPD Y5, Y4, Y4
+	HSUMY(Y4, X4, X5)
 	VZEROUPPER
-	MOVSD        X4, ret+48(FP)
+	MOVSD  X4, ret+48(FP)
 	RET
 
 // func applyPairAVX(c, s float64, x, y []float64)
@@ -88,12 +137,7 @@ TEXT ·applyPairAVX(SB), NOSPLIT, $0-64
 aploop:
 	VMOVUPD (SI)(AX*8), Y2           // x
 	VMOVUPD (DI)(AX*8), Y3           // y
-	VMULPD  Y0, Y2, Y7               // c*x
-	VMULPD  Y1, Y3, Y8               // s*y
-	VSUBPD  Y8, Y7, Y7               // xr = c*x - s*y
-	VMULPD  Y1, Y2, Y8               // s*x
-	VMULPD  Y0, Y3, Y9               // c*y
-	VADDPD  Y9, Y8, Y8               // yr = s*x + c*y
+	ROTY(Y2, Y3, Y7, Y8, Y9)
 	VMOVUPD Y7, (SI)(AX*8)
 	VMOVUPD Y8, (DI)(AX*8)
 	ADDQ    $4, AX
@@ -109,35 +153,53 @@ TEXT ·rotateGramAVX(SB), NOSPLIT, $0-80
 	MOVQ         x_base+16(FP), SI
 	MOVQ         y_base+40(FP), DI
 	MOVQ         x_len+24(FP), CX
-	VXORPD       Y4, Y4, Y4          // a acc
-	VXORPD       Y5, Y5, Y5          // b acc
 	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	VXORPD       Y4, Y4, Y4          // a, chain 0
+	VXORPD       Y5, Y5, Y5          // b, chain 0
+	VXORPD       Y10, Y10, Y10       // a, chain 1
+	VXORPD       Y11, Y11, Y11       // b, chain 1
+	JZ           rgtail
 
 rgloop:
 	VMOVUPD     (SI)(AX*8), Y2
 	VMOVUPD     (DI)(AX*8), Y3
-	VMULPD      Y0, Y2, Y7
-	VMULPD      Y1, Y3, Y8
-	VSUBPD      Y8, Y7, Y7           // xr
-	VMULPD      Y1, Y2, Y8
-	VMULPD      Y0, Y3, Y9
-	VADDPD      Y9, Y8, Y8           // yr
+	ROTY(Y2, Y3, Y7, Y8, Y9)
 	VMOVUPD     Y7, (SI)(AX*8)
 	VMOVUPD     Y8, (DI)(AX*8)
 	VFMADD231PD Y7, Y7, Y4           // a += xr*xr
 	VFMADD231PD Y8, Y8, Y5           // b += yr*yr
-	ADDQ        $4, AX
-	CMPQ        AX, CX
+	VMOVUPD     32(SI)(AX*8), Y2
+	VMOVUPD     32(DI)(AX*8), Y3
+	ROTY(Y2, Y3, Y12, Y13, Y9)
+	VMOVUPD     Y12, 32(SI)(AX*8)
+	VMOVUPD     Y13, 32(DI)(AX*8)
+	VFMADD231PD Y12, Y12, Y10
+	VFMADD231PD Y13, Y13, Y11
+	ADDQ        $8, AX
+	CMPQ        AX, DX
 	JL          rgloop
-	VEXTRACTF128 $1, Y4, X7
-	VADDPD       X7, X4, X4
-	VHADDPD      X4, X4, X4
-	VEXTRACTF128 $1, Y5, X7
-	VADDPD       X7, X5, X5
-	VHADDPD      X5, X5, X5
+
+rgtail:
+	CMPQ        AX, CX
+	JGE         rgdone
+	VMOVUPD     (SI)(AX*8), Y2
+	VMOVUPD     (DI)(AX*8), Y3
+	ROTY(Y2, Y3, Y7, Y8, Y9)
+	VMOVUPD     Y7, (SI)(AX*8)
+	VMOVUPD     Y8, (DI)(AX*8)
+	VFMADD231PD Y7, Y7, Y4
+	VFMADD231PD Y8, Y8, Y5
+
+rgdone:
+	VADDPD Y10, Y4, Y4
+	VADDPD Y11, Y5, Y5
+	HSUMY(Y4, X4, X7)
+	HSUMY(Y5, X5, X7)
 	VZEROUPPER
-	MOVSD        X4, a+64(FP)
-	MOVSD        X5, b+72(FP)
+	MOVSD  X4, a+64(FP)
+	MOVSD  X5, b+72(FP)
 	RET
 
 // func rotateGramNextAVX(c, s float64, x, y, yn []float64) (a, b, gam float64)
@@ -146,42 +208,64 @@ TEXT ·rotateGramNextAVX(SB), NOSPLIT, $0-112
 	VBROADCASTSD s+8(FP), Y1
 	MOVQ         x_base+16(FP), SI
 	MOVQ         y_base+40(FP), DI
-	MOVQ         yn_base+64(FP), DX
+	MOVQ         yn_base+64(FP), BX
 	MOVQ         x_len+24(FP), CX
-	VXORPD       Y4, Y4, Y4          // a acc
-	VXORPD       Y5, Y5, Y5          // b acc
-	VXORPD       Y6, Y6, Y6          // g acc
 	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	VXORPD       Y4, Y4, Y4          // a, chain 0
+	VXORPD       Y5, Y5, Y5          // b, chain 0
+	VXORPD       Y6, Y6, Y6          // g, chain 0
+	VXORPD       Y10, Y10, Y10       // a, chain 1
+	VXORPD       Y11, Y11, Y11       // b, chain 1
+	VXORPD       Y14, Y14, Y14       // g, chain 1
+	JZ           rgntail
 
 rgnloop:
 	VMOVUPD     (SI)(AX*8), Y2
 	VMOVUPD     (DI)(AX*8), Y3
-	VMULPD      Y0, Y2, Y7
-	VMULPD      Y1, Y3, Y8
-	VSUBPD      Y8, Y7, Y7           // xr
-	VMULPD      Y1, Y2, Y8
-	VMULPD      Y0, Y3, Y9
-	VADDPD      Y9, Y8, Y8           // yr
+	ROTY(Y2, Y3, Y7, Y8, Y9)
 	VMOVUPD     Y7, (SI)(AX*8)
 	VMOVUPD     Y8, (DI)(AX*8)
-	VMOVUPD     (DX)(AX*8), Y9       // ynext
+	VMOVUPD     (BX)(AX*8), Y9       // ynext
 	VFMADD231PD Y7, Y7, Y4           // a += xr*xr
 	VFMADD231PD Y8, Y8, Y5           // b += yr*yr
 	VFMADD231PD Y7, Y9, Y6           // g += xr*yn
-	ADDQ        $4, AX
-	CMPQ        AX, CX
+	VMOVUPD     32(SI)(AX*8), Y2
+	VMOVUPD     32(DI)(AX*8), Y3
+	ROTY(Y2, Y3, Y12, Y13, Y9)
+	VMOVUPD     Y12, 32(SI)(AX*8)
+	VMOVUPD     Y13, 32(DI)(AX*8)
+	VMOVUPD     32(BX)(AX*8), Y9
+	VFMADD231PD Y12, Y12, Y10
+	VFMADD231PD Y13, Y13, Y11
+	VFMADD231PD Y12, Y9, Y14
+	ADDQ        $8, AX
+	CMPQ        AX, DX
 	JL          rgnloop
-	VEXTRACTF128 $1, Y4, X7
-	VADDPD       X7, X4, X4
-	VHADDPD      X4, X4, X4
-	VEXTRACTF128 $1, Y5, X7
-	VADDPD       X7, X5, X5
-	VHADDPD      X5, X5, X5
-	VEXTRACTF128 $1, Y6, X7
-	VADDPD       X7, X6, X6
-	VHADDPD      X6, X6, X6
+
+rgntail:
+	CMPQ        AX, CX
+	JGE         rgndone
+	VMOVUPD     (SI)(AX*8), Y2
+	VMOVUPD     (DI)(AX*8), Y3
+	ROTY(Y2, Y3, Y7, Y8, Y9)
+	VMOVUPD     Y7, (SI)(AX*8)
+	VMOVUPD     Y8, (DI)(AX*8)
+	VMOVUPD     (BX)(AX*8), Y9
+	VFMADD231PD Y7, Y7, Y4
+	VFMADD231PD Y8, Y8, Y5
+	VFMADD231PD Y7, Y9, Y6
+
+rgndone:
+	VADDPD Y10, Y4, Y4
+	VADDPD Y11, Y5, Y5
+	VADDPD Y14, Y6, Y6
+	HSUMY(Y4, X4, X7)
+	HSUMY(Y5, X5, X7)
+	HSUMY(Y6, X6, X7)
 	VZEROUPPER
-	MOVSD        X4, a+88(FP)
-	MOVSD        X5, b+96(FP)
-	MOVSD        X6, gam+104(FP)
+	MOVSD  X4, a+88(FP)
+	MOVSD  X5, b+96(FP)
+	MOVSD  X6, gam+104(FP)
 	RET
